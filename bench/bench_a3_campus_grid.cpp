@@ -4,8 +4,8 @@
 // campus grid." Three sections:
 //   1. paper shape — a three-member QGG (dedicated Linux, dedicated Windows,
 //      Eridani) rides out a render-week surge with Eridani as (a) a plain
-//      extra Linux cluster vs (b) the dualboot-oscar hybrid, now driven
-//      through grid::FederatedGrid (epoch-synchronised routing);
+//      extra Linux cluster vs (b) the dualboot-oscar hybrid, driven through
+//      grid::FederatedGrid (epoch-synchronised routing);
 //   2. determinism — the same federation run at several --threads counts
 //      must produce byte-identical grid ledgers; a divergence writes both
 //      ledgers next to the binary as a3_mismatch_t*_{base,run}.txt repro
@@ -91,6 +91,9 @@ void write_mismatch_artifacts(const std::string& base, const std::string& run,
 }  // namespace
 
 int main(int argc, char** argv) {
+    // A full run takes minutes; line-buffer so a redirected log shows
+    // progress as it goes.
+    std::setvbuf(stdout, nullptr, _IOLBF, 0);
     const bool quick = bench::quick_mode(argc, argv);
     const std::string json_path = bench::json_path_from_args(argc, argv);
     bench::JsonReport report("A3");

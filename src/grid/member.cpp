@@ -58,17 +58,6 @@ core::HybridConfig member_config(const std::string& name, GridMember::Kind kind,
 
 }  // namespace
 
-GridMember::GridMember(sim::Engine& engine, std::string name, Kind kind, int nodes,
-                       core::PolicyKind hybrid_policy, int cores_per_node)
-    : name_(std::move(name)),
-      kind_(kind),
-      nodes_(nodes),
-      cores_per_node_(cores_per_node),
-      engine_(engine) {
-    hybrid_ = std::make_unique<core::HybridCluster>(
-        engine_, member_config(name_, kind_, nodes_, hybrid_policy, cores_per_node_));
-}
-
 GridMember::GridMember(std::string name, Kind kind, int nodes,
                        core::PolicyKind hybrid_policy, int cores_per_node,
                        std::int64_t unix_epoch)
@@ -77,11 +66,9 @@ GridMember::GridMember(std::string name, Kind kind, int nodes,
       nodes_(nodes),
       cores_per_node_(cores_per_node),
       arena_(std::make_unique<util::Arena>()),
-      owned_engine_(std::make_unique<sim::Engine>(unix_epoch, arena_.get())),
-      engine_(*owned_engine_) {
-    hybrid_ = std::make_unique<core::HybridCluster>(
-        engine_, member_config(name_, kind_, nodes_, hybrid_policy, cores_per_node_));
-}
+      engine_(std::make_unique<sim::Engine>(unix_epoch, arena_.get())),
+      hybrid_(std::make_unique<core::HybridCluster>(
+          *engine_, member_config(name_, kind_, nodes_, hybrid_policy, cores_per_node_))) {}
 
 void GridMember::start() {
     hybrid_->start();
@@ -101,8 +88,10 @@ MemberLoad GridMember::load(OsType os) {
     MemberLoad load;
     if (!capable(os)) return load;
     // Capable capacity: for the hybrid, every node can in principle serve
-    // either OS; for dedicated members it is the whole cluster anyway.
-    load.capable_cpus = hybrid_->cluster().total_cores();
+    // either OS; for dedicated members it is the whole cluster anyway. Every
+    // node is built with cores_per_node cpus, so this is Cluster::total_cores()
+    // without the per-node walk.
+    load.capable_cpus = nodes_ * cores_per_node_;
     if (os == OsType::kLinux) {
         load.free_cpus = hybrid_->pbs().free_cpus();
         for (const auto* job : hybrid_->pbs().queued_jobs())

@@ -3,14 +3,11 @@
 // The paper's cluster does not live alone: "This hybrid cluster is utilised
 // as part of the University of Huddersfield campus grid" (the Queensgate
 // Grid, QGG — ref [2] describes it as a grid of OSCAR clusters plus Windows
-// resources). This module models grid members as schedulable pools a gateway
-// can route jobs to: dedicated single-OS clusters and the dualboot-oscar
-// hybrid, each wrapping a fully simulated HybridCluster.
-//
-// A member can either borrow the caller's engine (the original serial
-// gateway path: every member shares one calendar) or own a private
-// engine + arena (the sharded FederatedGrid path: each member is an
-// independently advanceable shard).
+// resources). This module models grid members as schedulable pools the
+// FederatedGrid routes jobs to: dedicated single-OS clusters and the
+// dualboot-oscar hybrid, each wrapping a fully simulated HybridCluster on a
+// private engine + arena, so every member is an independently advanceable
+// shard.
 #pragma once
 
 #include <memory>
@@ -28,14 +25,8 @@ public:
     /// kind: dedicated clusters serve exactly one OS; the hybrid serves both.
     enum class Kind { kDedicatedLinux, kDedicatedWindows, kHybrid };
 
-    /// Borrowed-engine member: shares `engine` with the caller (and any other
-    /// members registered on the same GridGateway).
-    GridMember(sim::Engine& engine, std::string name, Kind kind, int nodes,
-               core::PolicyKind hybrid_policy = core::PolicyKind::kFairShare,
-               int cores_per_node = 4);
-
-    /// Shard member: owns a private Arena + Engine so a FederatedGrid can
-    /// advance it on any worker thread without touching other members.
+    /// Owns a private Arena + Engine so a FederatedGrid can advance it on any
+    /// worker thread without touching other members.
     /// `unix_epoch` seeds the engine clock (same value across shards keeps
     /// their wall-clock renderings aligned).
     GridMember(std::string name, Kind kind, int nodes,
@@ -50,10 +41,8 @@ public:
     [[nodiscard]] int nodes() const { return nodes_; }
     [[nodiscard]] int cores_per_node() const { return cores_per_node_; }
 
-    /// The engine this member runs on (borrowed or owned).
-    [[nodiscard]] sim::Engine& engine() { return engine_; }
-    /// True when this member owns its engine (shard mode).
-    [[nodiscard]] bool owns_engine() const { return owned_engine_ != nullptr; }
+    /// The member's private engine.
+    [[nodiscard]] sim::Engine& engine() { return *engine_; }
 
     /// Bring the member online (power on, start daemons, settle).
     void start();
@@ -64,7 +53,7 @@ public:
     /// Current load as seen for the given OS.
     [[nodiscard]] MemberLoad load(cluster::OsType os);
 
-    /// Submit (the gateway routes here). Requires capable(spec.os).
+    /// Submit (the federation's mailbox delivers here). Requires capable(spec.os).
     void submit(const workload::JobSpec& spec);
 
     [[nodiscard]] core::HybridCluster& cluster() { return *hybrid_; }
@@ -76,12 +65,10 @@ private:
     Kind kind_;
     int nodes_ = 0;
     int cores_per_node_ = 4;
-    // Declaration order is destruction-safety: hybrid_ (last declared, first
-    // destroyed) references engine_, which may alias owned_engine_, whose
-    // calendar allocates from arena_.
+    // Destroyed in reverse: hybrid_ runs on engine_, whose calendar
+    // allocates from arena_.
     std::unique_ptr<util::Arena> arena_;
-    std::unique_ptr<sim::Engine> owned_engine_;
-    sim::Engine& engine_;
+    std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<core::HybridCluster> hybrid_;
     std::size_t jobs_received_ = 0;
 };

@@ -92,7 +92,9 @@ std::string Histogram::render(int bar_width, const std::string& unit) const {
                       unit.c_str());
         out += head;
         out.append(static_cast<std::size_t>(bar), '#');
-        out += " " + std::to_string(buckets_[i]) + "\n";
+        out += ' ';
+        out += std::to_string(buckets_[i]);
+        out += '\n';
     }
     return out;
 }

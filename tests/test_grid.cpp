@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "grid/federation.hpp"
-#include "grid/gateway.hpp"
 #include "util/rng.hpp"
 #include "workload/catalog.hpp"
 
@@ -25,13 +25,30 @@ workload::JobSpec job(OsType os, int nodes, sim::Duration runtime) {
 }
 
 struct GridFixture : ::testing::Test {
-    sim::Engine engine;
+    /// Build and start a single-threaded federation of `members`.
+    FederatedGrid& start_grid(RoutingRule rule, const std::vector<MemberSpec>& members) {
+        FederationConfig config;
+        config.rule = rule;
+        fed = std::make_unique<FederatedGrid>(config);
+        for (const MemberSpec& m : members) fed->add_member(m);
+        fed->start();
+        return *fed;
+    }
+
+    /// Route `jobs` as arrivals at the current federation time (one epoch,
+    /// one set of load snapshots), then run the grid for `span`.
+    void run_now(std::vector<workload::JobSpec> jobs, sim::Duration span) {
+        for (auto& spec : jobs) spec.submit = fed->now();
+        fed->run(jobs, fed->now() + span);
+    }
+
+    std::unique_ptr<FederatedGrid> fed;
 };
 
 TEST_F(GridFixture, MemberCapabilities) {
-    GridMember linux_member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 4);
-    GridMember windows_member(engine, "vega", GridMember::Kind::kDedicatedWindows, 4);
-    GridMember hybrid(engine, "eridani", GridMember::Kind::kHybrid, 4);
+    GridMember linux_member("tauceti", GridMember::Kind::kDedicatedLinux, 4);
+    GridMember windows_member("vega", GridMember::Kind::kDedicatedWindows, 4);
+    GridMember hybrid("eridani", GridMember::Kind::kHybrid, 4);
     EXPECT_TRUE(linux_member.capable(OsType::kLinux));
     EXPECT_FALSE(linux_member.capable(OsType::kWindows));
     EXPECT_FALSE(windows_member.capable(OsType::kLinux));
@@ -41,8 +58,8 @@ TEST_F(GridFixture, MemberCapabilities) {
 }
 
 TEST_F(GridFixture, DedicatedMembersBootTheirOs) {
-    GridMember linux_member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 4);
-    GridMember windows_member(engine, "vega", GridMember::Kind::kDedicatedWindows, 4);
+    GridMember linux_member("tauceti", GridMember::Kind::kDedicatedLinux, 4);
+    GridMember windows_member("vega", GridMember::Kind::kDedicatedWindows, 4);
     linux_member.start();
     windows_member.start();
     EXPECT_EQ(linux_member.cluster().cluster().count_running(OsType::kLinux), 4);
@@ -50,9 +67,11 @@ TEST_F(GridFixture, DedicatedMembersBootTheirOs) {
 }
 
 TEST_F(GridFixture, LoadReflectsQueuedWork) {
-    GridMember member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2);
+    GridMember member("tauceti", GridMember::Kind::kDedicatedLinux, 2);
     member.start();
     EXPECT_EQ(member.load(OsType::kLinux).capable_cpus, 8);
+    EXPECT_EQ(member.load(OsType::kLinux).capable_cpus,
+              member.cluster().cluster().total_cores());
     EXPECT_EQ(member.load(OsType::kLinux).free_cpus, 8);
     EXPECT_EQ(member.load(OsType::kLinux).queued_cpus, 0);
     member.submit(job(OsType::kLinux, 2, sim::hours(1)));  // fills the cluster
@@ -66,101 +85,80 @@ TEST_F(GridFixture, LoadReflectsQueuedWork) {
 }
 
 TEST_F(GridFixture, SubmitToIncapableMemberThrows) {
-    GridMember member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2);
+    GridMember member("tauceti", GridMember::Kind::kDedicatedLinux, 2);
     member.start();
     EXPECT_THROW(member.submit(job(OsType::kWindows, 1, sim::hours(1))),
                  util::PreconditionError);
 }
 
 TEST_F(GridFixture, FirstCapableRouting) {
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    auto& a = gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    auto& b = gateway.add_member(
-        std::make_unique<GridMember>(engine, "altair", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    for (int i = 0; i < 3; ++i) ASSERT_NE(gateway.route(job(OsType::kLinux, 1, sim::hours(1))),
-                                          nullptr);
-    EXPECT_EQ(a.jobs_received(), 3u);
-    EXPECT_EQ(b.jobs_received(), 0u);
+    FederatedGrid& grid = start_grid(RoutingRule::kFirstCapable,
+                                     {{"tauceti", GridMember::Kind::kDedicatedLinux, 2},
+                                      {"altair", GridMember::Kind::kDedicatedLinux, 2}});
+    run_now(std::vector<workload::JobSpec>(3, job(OsType::kLinux, 1, sim::hours(1))),
+            sim::minutes(10));
+    EXPECT_EQ(grid.stats().routed, 3u);
+    EXPECT_EQ(grid.member(0).jobs_received(), 3u);
+    EXPECT_EQ(grid.member(1).jobs_received(), 0u);
 }
 
 TEST_F(GridFixture, RoundRobinRouting) {
-    GridGateway gateway(engine, RoutingRule::kRoundRobin);
-    auto& a = gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    auto& b = gateway.add_member(
-        std::make_unique<GridMember>(engine, "altair", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    for (int i = 0; i < 4; ++i) ASSERT_NE(gateway.route(job(OsType::kLinux, 1, sim::hours(1))),
-                                          nullptr);
-    EXPECT_EQ(a.jobs_received(), 2u);
-    EXPECT_EQ(b.jobs_received(), 2u);
+    FederatedGrid& grid = start_grid(RoutingRule::kRoundRobin,
+                                     {{"tauceti", GridMember::Kind::kDedicatedLinux, 2},
+                                      {"altair", GridMember::Kind::kDedicatedLinux, 2}});
+    run_now(std::vector<workload::JobSpec>(4, job(OsType::kLinux, 1, sim::hours(1))),
+            sim::minutes(10));
+    EXPECT_EQ(grid.stats().routed, 4u);
+    EXPECT_EQ(grid.member(0).jobs_received(), 2u);
+    EXPECT_EQ(grid.member(1).jobs_received(), 2u);
 }
 
 TEST_F(GridFixture, LeastPressureAvoidsTheBusyMember) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
-    auto& busy = gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    auto& idle = gateway.add_member(
-        std::make_unique<GridMember>(engine, "altair", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    // Saturate the first member directly.
+    FederatedGrid& grid = start_grid(RoutingRule::kLeastPressure,
+                                     {{"tauceti", GridMember::Kind::kDedicatedLinux, 2},
+                                      {"altair", GridMember::Kind::kDedicatedLinux, 2}});
+    // Saturate the first member directly; with both idle the index
+    // tie-break would have picked it.
+    GridMember& busy = grid.member(0);
     busy.submit(job(OsType::kLinux, 2, sim::hours(4)));
     busy.submit(job(OsType::kLinux, 2, sim::hours(4)));
-    GridMember* chosen = gateway.route(job(OsType::kLinux, 1, sim::hours(1)));
-    EXPECT_EQ(chosen, &idle);
+    run_now({job(OsType::kLinux, 1, sim::hours(1))}, sim::minutes(10));
+    EXPECT_EQ(busy.jobs_received(), 2u);  // only the direct submissions
+    EXPECT_EQ(grid.member(1).jobs_received(), 1u);
 }
 
 TEST_F(GridFixture, UnroutableJobIsRejected) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    EXPECT_EQ(gateway.route(job(OsType::kWindows, 1, sim::hours(1))), nullptr);
-    EXPECT_EQ(gateway.stats().rejected, 1u);
+    FederatedGrid& grid = start_grid(RoutingRule::kLeastPressure,
+                                     {{"tauceti", GridMember::Kind::kDedicatedLinux, 2}});
+    run_now({job(OsType::kWindows, 1, sim::hours(1))}, sim::minutes(10));
+    EXPECT_EQ(grid.stats().rejected, 1u);
+    EXPECT_EQ(grid.stats().routed, 0u);
+    EXPECT_EQ(grid.member(0).jobs_received(), 0u);
 }
 
 TEST_F(GridFixture, HybridMemberAbsorbsWindowsOverflow) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "vega", GridMember::Kind::kDedicatedWindows, 2));
-    auto& hybrid = gateway.add_member(
-        std::make_unique<GridMember>(engine, "eridani", GridMember::Kind::kHybrid, 4));
-    gateway.start();
+    FederatedGrid& grid = start_grid(RoutingRule::kLeastPressure,
+                                     {{"vega", GridMember::Kind::kDedicatedWindows, 2},
+                                      {"eridani", GridMember::Kind::kHybrid, 4}});
     // Overload the dedicated Windows cluster; overflow should route to the
     // hybrid, which then reboots nodes into Windows to serve it.
-    for (int i = 0; i < 6; ++i)
-        ASSERT_NE(gateway.route(job(OsType::kWindows, 2, sim::minutes(30))), nullptr);
+    run_now(std::vector<workload::JobSpec>(6, job(OsType::kWindows, 2, sim::minutes(30))),
+            sim::hours(8));
+    GridMember& hybrid = grid.member(1);
+    EXPECT_EQ(grid.stats().routed, 6u);
     EXPECT_GT(hybrid.jobs_received(), 0u);
-    engine.run_until(sim::TimePoint{} + sim::hours(8));
-    const auto summary = gateway.grid_summary(sim::hours(8).seconds());
+    const auto summary = grid.report(sim::hours(8).seconds()).total;
     EXPECT_EQ(summary.completed, 6u);
     EXPECT_GT(hybrid.cluster().counters().os_switches, 0u);
 }
 
-TEST_F(GridFixture, ReplayRoutesByTime) {
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    auto spec = job(OsType::kLinux, 1, sim::minutes(10));
-    spec.submit = sim::TimePoint{} + sim::hours(1);
-    gateway.replay({spec});
-    EXPECT_EQ(gateway.stats().routed, 0u);
-    engine.run_until(sim::TimePoint{} + sim::hours(2));
-    EXPECT_EQ(gateway.stats().routed, 1u);
-    EXPECT_EQ(gateway.grid_summary(sim::hours(2).seconds()).completed, 1u);
-}
-
 TEST_F(GridFixture, MemberAccessorsValidate) {
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    EXPECT_THROW(gateway.start(), util::PreconditionError);  // no members
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    EXPECT_EQ(gateway.member_count(), 1u);
-    EXPECT_NO_THROW((void)gateway.member(0));
-    EXPECT_THROW((void)gateway.member(1), util::PreconditionError);
+    EXPECT_THROW(start_grid(RoutingRule::kFirstCapable, {}), util::PreconditionError);  // no members
+    FederatedGrid& grid =
+        start_grid(RoutingRule::kFirstCapable, {{"tauceti", GridMember::Kind::kDedicatedLinux, 2}});
+    EXPECT_EQ(grid.member_count(), 1u);
+    EXPECT_NO_THROW((void)grid.member(0));
+    EXPECT_THROW((void)grid.member(1), util::PreconditionError);
 }
 
 // ---- routing module --------------------------------------------------------
@@ -202,6 +200,27 @@ TEST(GridRouting, IncapablePressureIsInfinite) {
     EXPECT_FALSE(beats_under_least_pressure(incapable, MemberLoad{}));
 }
 
+TEST(GridRouting, TableFirstCapableSkipsAnIncapableMember) {
+    RoutingTable table(RoutingRule::kFirstCapable, 3);
+    table.set_load(0, cluster::OsType::kWindows, false, MemberLoad{});
+    table.set_load(1, cluster::OsType::kWindows, true, MemberLoad{8, 8, 0});
+    table.set_load(2, cluster::OsType::kWindows, true, MemberLoad{8, 8, 0});
+    table.set_load(0, cluster::OsType::kLinux, true, MemberLoad{8, 8, 0});
+    // First-capable ignores load: every Windows job goes to member 1, even
+    // once its accounted snapshot is full, and Linux still starts at 0.
+    EXPECT_EQ(table.route(cluster::OsType::kWindows, 8), 1u);
+    EXPECT_EQ(table.route(cluster::OsType::kWindows, 8), 1u);
+    EXPECT_EQ(table.route(cluster::OsType::kLinux, 1), 0u);
+}
+
+TEST(GridRouting, TableLeastPressureAvoidsASaturatedMember) {
+    RoutingTable table(RoutingRule::kLeastPressure, 2);
+    // Member 0 wins the index tie-break when both are idle; saturate it.
+    table.set_load(0, cluster::OsType::kLinux, true, MemberLoad{8, 0, 8});
+    table.set_load(1, cluster::OsType::kLinux, true, MemberLoad{8, 8, 0});
+    EXPECT_EQ(table.route(cluster::OsType::kLinux, 1), 1u);
+}
+
 TEST(GridRouting, TableAccountsJobsWithinAnEpoch) {
     RoutingTable table(RoutingRule::kLeastPressure, 2);
     table.set_load(0, cluster::OsType::kLinux, true, MemberLoad{8, 8, 0});
@@ -236,23 +255,21 @@ TEST(GridRouting, TableRoundRobinCursorCarriesAcrossEpochs) {
 // ---- heterogeneous grid summaries ------------------------------------------
 
 TEST_F(GridFixture, HeterogeneousCoresPerNodeSummary) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
     // A wide-node hybrid first, then a narrow-node Linux member LAST — the
     // old merge took the last member's cores_per_node for the whole grid,
     // which mis-scaled the hybrid's reboot downtime by 2/8.
-    auto& hybrid = gateway.add_member(std::make_unique<GridMember>(
-        engine, "eridani", GridMember::Kind::kHybrid, 4, core::PolicyKind::kFairShare, 8));
-    gateway.add_member(std::make_unique<GridMember>(
-        engine, "tauceti", GridMember::Kind::kDedicatedLinux, 4, core::PolicyKind::kFairShare,
-        2));
-    gateway.start();
+    FederatedGrid& grid = start_grid(
+        RoutingRule::kLeastPressure,
+        {{"eridani", GridMember::Kind::kHybrid, 4, core::PolicyKind::kFairShare, 8},
+         {"tauceti", GridMember::Kind::kDedicatedLinux, 4, core::PolicyKind::kFairShare, 2}});
     // Windows demand forces the hybrid to switch nodes -> nonzero downtime.
-    for (int i = 0; i < 4; ++i)
-        ASSERT_NE(gateway.route(job(OsType::kWindows, 2, sim::minutes(30))), nullptr);
-    engine.run_until(sim::TimePoint{} + sim::hours(8));
+    run_now(std::vector<workload::JobSpec>(4, job(OsType::kWindows, 2, sim::minutes(30))),
+            sim::hours(8));
+    ASSERT_EQ(grid.stats().routed, 4u);
+    GridMember& hybrid = grid.member(0);
 
     const double horizon_s = sim::hours(8).seconds();
-    const GridSummary report = gateway.grid_report(horizon_s);
+    const GridSummary report = grid.report(horizon_s);
     ASSERT_EQ(report.members.size(), 2u);
     EXPECT_EQ(report.members[0].name, "eridani");
     EXPECT_EQ(report.members[0].cores_per_node, 8);
@@ -260,7 +277,7 @@ TEST_F(GridFixture, HeterogeneousCoresPerNodeSummary) {
     EXPECT_EQ(report.members[0].jobs_received, hybrid.jobs_received());
 
     const auto hybrid_counters = hybrid.cluster().counters();
-    const auto tauceti_counters = gateway.member(1).cluster().counters();
+    const auto tauceti_counters = grid.member(1).cluster().counters();
     ASSERT_GT(hybrid_counters.reboot_downtime_s, 0);
     const double total_cores = 4 * 8 + 4 * 2;
     // Exact heterogeneous overhead: each member's node-second downtime costs
@@ -456,6 +473,9 @@ TEST(FederatedGridTest, ValidatesItsPreconditions) {
     EXPECT_THROW(fed.run({}, sim::TimePoint{} + sim::hours(1)),
                  util::PreconditionError);  // before start
     fed.start();
+    EXPECT_EQ(fed.member_count(), 1u);
+    EXPECT_NO_THROW((void)fed.member(0));
+    EXPECT_THROW((void)fed.member(1), util::PreconditionError);  // out of range
     EXPECT_THROW(fed.add_member({"y", GridMember::Kind::kHybrid, 2}),
                  util::PreconditionError);  // after start
     // Unsorted traces are refused, not silently misrouted.
@@ -463,14 +483,6 @@ TEST(FederatedGridTest, ValidatesItsPreconditions) {
         timed_job(OsType::kLinux, 1, sim::minutes(5), sim::TimePoint{} + sim::hours(2)),
         timed_job(OsType::kLinux, 1, sim::minutes(5), sim::TimePoint{} + sim::hours(1))};
     EXPECT_THROW(fed.run(unsorted, sim::TimePoint{} + sim::hours(3)),
-                 util::PreconditionError);
-}
-
-TEST(FederatedGridTest, ShardMembersAreRejectedByTheSerialGateway) {
-    sim::Engine engine;
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    EXPECT_THROW(gateway.add_member(std::make_unique<GridMember>(
-                     "tauceti", GridMember::Kind::kDedicatedLinux, 2)),
                  util::PreconditionError);
 }
 

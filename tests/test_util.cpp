@@ -278,6 +278,21 @@ TEST(Histogram, CountsBucketsAndStats) {
     EXPECT_NE(render.find(" 2\n"), std::string::npos);
 }
 
+TEST(Histogram, RenderIsByteGolden) {
+    Histogram h(0, 10, 5);
+    for (double v : {1.0, 1.5, 3.0, 9.0, 9.9}) h.add(v);
+    EXPECT_EQ(h.render(10, "s"),
+              "[    0.0,     2.0s) ########## 2\n"
+              "[    2.0,     4.0s) ##### 1\n"
+              "[    4.0,     6.0s)  0\n"
+              "[    6.0,     8.0s)  0\n"
+              "[    8.0,    10.0s) ########## 2\n");
+    // Bars scale to the peak bucket; an empty histogram draws no bars.
+    EXPECT_EQ(Histogram(0, 4, 2).render(),
+              "[    0.0,     2.0)  0\n"
+              "[    2.0,     4.0)  0\n");
+}
+
 TEST(Histogram, ClampsOutOfRangeToEdges) {
     Histogram h(0, 10, 2);
     h.add(-5);
