@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,9 @@ public:
     [[nodiscard]] const Node& node(int index) const;
     [[nodiscard]] Node* find_by_hostname(const std::string& hostname);
     [[nodiscard]] Node* find_by_short_name(const std::string& short_name);
-    [[nodiscard]] std::vector<Node*> nodes();
+    /// Every node in index order: a view of a pointer list built once in the
+    /// constructor, so callers iterate without copying.
+    [[nodiscard]] std::span<Node* const> nodes() { return node_ptrs_; }
 
     /// Nodes currently up and running `os`.
     [[nodiscard]] std::vector<Node*> nodes_running(OsType os);
@@ -84,6 +87,7 @@ private:
     ClusterConfig config_;
     Network network_;
     std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<Node*> node_ptrs_;  ///< nodes_ as plain pointers, for nodes()
 };
 
 }  // namespace hc::cluster

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "cloud/cloud.hpp"
+#include "util/errors.hpp"
 #include "util/strings.hpp"
 
 namespace hc::core {
@@ -97,17 +98,39 @@ LinuxCommunicator::LinuxCommunicator(sim::Engine& engine, cluster::Network& netw
 
 LinuxCommunicator::~LinuxCommunicator() { stop(); }
 
-Status LinuxCommunicator::start() {
-    if (bound_) return Status::ok_status();
+Status LinuxCommunicator::bind() {
     auto status = network_.bind(host_, kCommunicatorPort,
                                 [this](const cluster::Message& msg) {
                                     on_windows_record(msg.payload);
                                 });
-    if (status.ok()) {
-        bound_ = true;
-        arm_watchdog();
-    }
+    bound_ = status.ok();
     return status;
+}
+
+Status LinuxCommunicator::start() {
+    if (bound_) return Status::ok_status();
+    auto status = bind();
+    if (status.ok()) arm_watchdog();
+    return status;
+}
+
+void LinuxCommunicator::restore_state(const SavedState& s) {
+    // A snapshot taken while the Linux head was down must come back down (and
+    // the other way round). Only the socket moves here: the watchdog's event
+    // came back with the engine calendar, so it must not be re-armed.
+    if (s.bound && !bound_) {
+        auto status = bind();
+        util::ensure(status.ok(), "LinuxCommunicator: rebind on restore failed: " +
+                                      status.error_message());
+    } else if (!s.bound && bound_) {
+        network_.unbind(host_, kCommunicatorPort);
+        bound_ = false;
+    }
+    watchdog_event_ = s.watchdog_event;
+    peer_stale_ = s.peer_stale;
+    watchdog_firings_ = s.watchdog_firings;
+    stats_ = s.stats;
+    last_decision_ = s.last_decision;
 }
 
 void LinuxCommunicator::stop() {

@@ -153,9 +153,11 @@ public:
     /// paper's two-pool world — and the exact pre-cloud journal shape.
     void set_cloud(cloud::CloudBackend* cloud) { cloud_ = cloud; }
 
-    /// World-snapshot hook: watchdog arm state + counters + last decision.
-    /// The policy object itself is snapshotted separately via save_blob().
+    /// World-snapshot hook: socket binding, watchdog arm state, counters and
+    /// last decision. The policy object itself is snapshotted separately via
+    /// save_blob().
     struct SavedState {
+        bool bound = false;
         sim::EventId watchdog_event{};
         bool peer_stale = false;
         std::uint64_t watchdog_firings = 0;
@@ -163,18 +165,13 @@ public:
         SwitchDecision last_decision;
     };
     [[nodiscard]] SavedState save_state() const {
-        return {watchdog_event_, peer_stale_, watchdog_firings_, stats_, last_decision_};
+        return {bound_, watchdog_event_, peer_stale_, watchdog_firings_, stats_, last_decision_};
     }
-    void restore_state(const SavedState& s) {
-        watchdog_event_ = s.watchdog_event;
-        peer_stale_ = s.peer_stale;
-        watchdog_firings_ = s.watchdog_firings;
-        stats_ = s.stats;
-        last_decision_ = s.last_decision;
-    }
+    void restore_state(const SavedState& s);
 
 private:
     void decide_and_act(const QueueSnapshot& windows_snap);
+    [[nodiscard]] util::Status bind();
     void arm_watchdog();
     void on_watchdog();
 

@@ -80,14 +80,7 @@ HybridCluster::HybridCluster(sim::Engine& engine, HybridConfig config)
                 // Provision pins are one-shot like the initial-OS pins:
                 // cleared on first up so later switch reboots follow the
                 // shared flag.
-                node->on_up([this](Node& n, OsType) {
-                    auto it = std::find(pending_initial_pins_.begin(),
-                                        pending_initial_pins_.end(), n.mac().to_string());
-                    if (it != pending_initial_pins_.end()) {
-                        flag_->clear_node_target(n.mac());
-                        pending_initial_pins_.erase(it);
-                    }
-                });
+                node->on_up([this](Node& n, OsType) { clear_initial_pin(n); });
             }
         }
         cloud_->set_provision_hook([this](Node& node, OsType target) {
@@ -97,7 +90,7 @@ HybridCluster::HybridCluster(sim::Engine& engine, HybridConfig config)
                 node.disk() = boot::make_v1_dualboot_disk(opts);
             } else {
                 flag_->set_node_target(node.mac(), target);
-                pending_initial_pins_.push_back(node.mac().to_string());
+                pending_initial_pins_.insert(node.mac());
             }
         });
         cloud_->attach(&pbs_, &winhpc_);
@@ -112,7 +105,9 @@ HybridCluster::HybridCluster(sim::Engine& engine, HybridConfig config)
     // the top buckets rather than vanishing.
     obs_wait_s_ = hub.metrics().histogram("workload.wait_s", 0, 43'200, 96);
 
-    pbs_detector_ = std::make_unique<PbsDetector>(pbs_);
+    // The Linux head polls through the streaming detector: each poll re-parses
+    // only the qstat/pbsnodes stanzas that changed since the last one.
+    pbs_detector_ = std::make_unique<PbsDetector>(pbs_, /*incremental=*/true);
     win_detector_ = std::make_unique<WinHpcDetector>(winhpc_, config_.cluster.cores_per_node);
     win_comm_ = std::make_unique<WindowsCommunicator>(
         engine_, cluster_.network(), cluster_.windows_head_host(), cluster_.linux_head_host(),
@@ -187,18 +182,18 @@ void HybridCluster::wire_boot_environment() {
     for (Node* node : cluster_.nodes()) {
         if (node->index() < config_.initial_windows_nodes) {
             flag_->set_node_target(node->mac(), OsType::kWindows);
-            pending_initial_pins_.push_back(node->mac().to_string());
+            pending_initial_pins_.insert(node->mac());
         }
         node->set_boot_resolver(pxe_->make_resolver());
-        node->on_up([this](Node& n, OsType) {
-            auto it = std::find(pending_initial_pins_.begin(), pending_initial_pins_.end(),
-                                n.mac().to_string());
-            if (it != pending_initial_pins_.end()) {
-                flag_->clear_node_target(n.mac());
-                pending_initial_pins_.erase(it);
-            }
-        });
+        node->on_up([this](Node& n, OsType) { clear_initial_pin(n); });
     }
+}
+
+void HybridCluster::clear_initial_pin(Node& node) {
+    auto it = pending_initial_pins_.find(node.mac());
+    if (it == pending_initial_pins_.end()) return;
+    flag_->clear_node_target(node.mac());
+    pending_initial_pins_.erase(it);
 }
 
 std::unique_ptr<SwitchPolicy> HybridCluster::make_policy(PolicyKind kind) const {
@@ -338,15 +333,20 @@ void HybridCluster::start() {
 }
 
 void HybridCluster::settle(sim::Duration limit) {
+    // `first_down` only moves forward past nodes that are up, so the scan
+    // costs O(N) over the whole settle rather than per step. A node behind
+    // the cursor may have gone down again, so reaching the end triggers one
+    // confirming pass from the start before settle returns.
     const sim::TimePoint deadline = engine_.now() + limit;
+    const std::span<Node* const> nodes = cluster_.nodes();
+    const auto is_down = [](const Node* node) { return !node->is_up(); };
+    auto first_down = nodes.begin();
     while (engine_.now() < deadline) {
-        bool all_up = true;
-        for (Node* node : cluster_.nodes())
-            if (!node->is_up()) {
-                all_up = false;
-                break;
-            }
-        if (all_up) return;
+        first_down = std::find_if(first_down, nodes.end(), is_down);
+        if (first_down == nodes.end()) {
+            first_down = std::find_if(nodes.begin(), nodes.end(), is_down);
+            if (first_down == nodes.end()) return;
+        }
         if (!engine_.step()) return;  // nothing left to simulate
     }
 }

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "boot/flag.hpp"
@@ -105,6 +106,8 @@ public:
     [[nodiscard]] WindowsCommunicator& windows_daemon() { return *win_comm_; }
     [[nodiscard]] LinuxCommunicator& linux_daemon() { return *linux_comm_; }
     [[nodiscard]] RebootLog& reboot_log() { return reboot_log_; }
+    /// The Linux head's checkqueue.pl (streaming mode), for its poll stats.
+    [[nodiscard]] const PbsDetector& pbs_detector() const { return *pbs_detector_; }
     /// Non-null only when config.cloud.max_burst > 0.
     [[nodiscard]] cloud::CloudBackend* cloud() { return cloud_.get(); }
     /// Non-null only when the config carried a non-empty fault plan.
@@ -172,7 +175,7 @@ public:
         std::optional<fault::FaultInjector::SavedState> injector;
         std::optional<fault::RecoverySupervisor::SavedState> supervisor;
         workload::MetricsCollector::SavedState metrics;
-        std::vector<std::string> pending_initial_pins;
+        std::multiset<cluster::Mac> pending_initial_pins;
         bool started = false;
     };
     [[nodiscard]] SavedState save_state() const;
@@ -181,6 +184,8 @@ public:
 private:
     void provision_disks();
     void wire_boot_environment();
+    /// on_up hook: drop the node's one-shot first-boot pin, if it has one.
+    void clear_initial_pin(cluster::Node& node);
     void build_policy_and_controller();
     [[nodiscard]] std::unique_ptr<SwitchPolicy> make_policy(PolicyKind kind) const;
 
@@ -203,7 +208,9 @@ private:
     std::unique_ptr<fault::FaultInjector> fork_injector_;  ///< armed post-fork via arm_faults()
     std::unique_ptr<fault::RecoverySupervisor> supervisor_;
     workload::MetricsCollector metrics_;
-    std::vector<std::string> pending_initial_pins_;  ///< MACs pinned for first boot
+    /// MACs pinned for their first boot, one entry per pin written (a cloud
+    /// node provisioned twice before it first came up holds two).
+    std::multiset<cluster::Mac> pending_initial_pins_;
     bool started_ = false;
     obs::Counter obs_submitted_;       ///< workload.jobs.submitted
     obs::Counter obs_completed_;       ///< workload.jobs.completed

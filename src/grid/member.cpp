@@ -98,8 +98,11 @@ MemberLoad GridMember::load(OsType os) {
             load.queued_cpus += job->resources.total_cpus();
     } else {
         load.free_cpus = hybrid_->winhpc().free_cores();
-        for (const auto* job : hybrid_->winhpc().get_jobs(winhpc::HpcJobState::kQueued))
-            load.queued_cpus += job->needed_cpus(hybrid_->config().cluster.cores_per_node);
+        // The scheduler's intrusive queued list holds exactly the kQueued
+        // jobs: O(queued) per call, not O(jobs the member ever received).
+        for (const winhpc::HpcJob* job = hybrid_->winhpc().first_queued_job(); job != nullptr;
+             job = job->queue_next)
+            load.queued_cpus += job->needed_cpus(cores_per_node_);
     }
     return load;
 }

@@ -3,6 +3,7 @@
 // routing, thread-count byte-equality, conservation invariants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -82,6 +83,33 @@ TEST_F(GridFixture, LoadReflectsQueuedWork) {
     EXPECT_GT(load.pressure(), 0.9);
     // Incapable OS reports unroutable pressure.
     EXPECT_GT(member.load(OsType::kWindows).pressure(), 1e8);
+
+    // Windows side: load() sums the scheduler's queued list; it must agree
+    // with a walk over every job in state Queued while jobs start, finish
+    // and leave the middle of the queue.
+    GridMember vega("vega", GridMember::Kind::kDedicatedWindows, 4);
+    vega.start();
+    winhpc::HpcScheduler& scheduler = vega.cluster().winhpc();
+    auto queued_by_walk = [&] {
+        int cpus = 0;
+        for (const auto* j : scheduler.get_jobs(winhpc::HpcJobState::kQueued))
+            cpus += j->needed_cpus(vega.cores_per_node());
+        return cpus;
+    };
+    for (int i = 0; i < 12; ++i)
+        vega.submit(job(OsType::kWindows, 1 + i % 3, sim::minutes(10 + 7 * (i % 5))));
+    const auto queued = scheduler.get_jobs(winhpc::HpcJobState::kQueued);
+    ASSERT_GE(queued.size(), 3u);
+    ASSERT_TRUE(scheduler.cancel_job(queued[1]->id).ok());
+    int max_queued = 0;
+    for (int step = 0; step < 36; ++step) {
+        const int by_list = vega.load(OsType::kWindows).queued_cpus;
+        EXPECT_EQ(by_list, queued_by_walk()) << "step " << step;
+        max_queued = std::max(max_queued, by_list);
+        vega.engine().run_for(sim::minutes(5));
+    }
+    EXPECT_GT(max_queued, 16);
+    EXPECT_EQ(vega.load(OsType::kWindows).queued_cpus, 0);
 }
 
 TEST_F(GridFixture, SubmitToIncapableMemberThrows) {
