@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
         auto sweep_out = sweep::run_forked_scenarios(campaign, threads, &fork_stats);
         sweep_total.replicas += sweep_out.stats.replicas;
         sweep_total.threads = sweep_out.stats.threads;
-        sweep_total.steals += sweep_out.stats.steals;
         sweep_total.wall_ms += sweep_out.stats.wall_ms;
         fork_total.prefixes += fork_stats.prefixes;
         fork_total.forks += fork_stats.forks;

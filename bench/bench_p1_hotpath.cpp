@@ -190,7 +190,7 @@ double detector_poll_us(bool advance_time, int reps) {
     Testbed bed(16);
     for (int i = 0; i < 16; ++i) bed.submit(1, 4, sim::hours(5000));
     for (int i = 0; i < 48; ++i) bed.submit(1, 4, sim::hours(1));
-    core::PbsDetector detector(bed.server);
+    core::PbsDetector detector(bed.server, /*incremental=*/true);
     int queued_sink = 0;
     const double elapsed = time_s([&] {
         for (int i = 0; i < reps; ++i) {
@@ -223,6 +223,23 @@ hc::sweep::SweepStats replica_sweep(std::size_t replica_count, int threads) {
         replicas.push_back({cfg, trace, ""});
     }
     return hc::sweep::run_scenarios(std::move(replicas), threads).stats;
+}
+
+// Host calibration for the sweep figure: the same pool fanning out a fixed
+// CPU-only spin per slot. Its 8-vs-1-thread speedup is the parallelism the
+// host actually gave in this run, which `nproc` does not tell.
+double spin_units_per_sec(std::size_t units, int threads) {
+    std::vector<std::uint64_t> sinks(units);
+    const auto stats = hc::sweep::run_indexed(
+        units, threads, [&](std::size_t slot, hc::sweep::WorkerContext&) {
+            std::uint64_t x = slot + 1;
+            for (int i = 0; i < 2'000'000; ++i) x = x * kLcgMul + kLcgAdd;
+            sinks[slot] = x;
+        });
+    std::uint64_t folded = 0;
+    for (const std::uint64_t x : sinks) folded ^= x;
+    if (folded == 0) std::fprintf(stderr, "spin calibration: degenerate sink\n");
+    return stats.replicas_per_sec;
 }
 
 }  // namespace
@@ -285,17 +302,22 @@ int main(int argc, char** argv) {
         report.add("sweep_replicas_per_sec", serial.replicas_per_sec, "replicas/s",
                    {{"threads", "1"}});
         const auto pooled = replica_sweep(replica_count, 8);
-        std::printf("  8 threads: %7.2f replicas/s  (%llu steal(s), %.0f ms)\n",
-                    pooled.replicas_per_sec,
-                    static_cast<unsigned long long>(pooled.steals), pooled.wall_ms);
+        std::printf("  8 threads: %7.2f replicas/s  (%.0f ms)\n", pooled.replicas_per_sec,
+                    pooled.wall_ms);
         report.add("sweep_replicas_per_sec", pooled.replicas_per_sec, "replicas/s",
                    {{"threads", "8"}});
         const double speedup = serial.replicas_per_sec > 0
                                    ? pooled.replicas_per_sec / serial.replicas_per_sec
                                    : 0.0;
-        std::printf("  speedup  : %7.2fx (bounded by hardware threads: %d available)\n",
-                    speedup, hc::sweep::resolve_threads(0));
+        const int nproc = hc::sweep::resolve_threads(0);
+        const double spin_1 = spin_units_per_sec(replica_count, 1);
+        const double spin_8 = spin_units_per_sec(replica_count, 8);
+        const double spin_speedup = spin_1 > 0 ? spin_8 / spin_1 : 0.0;
+        std::printf("  speedup  : %7.2fx (host: nproc %d, spin loop 8 vs 1 thread %.2fx)\n",
+                    speedup, nproc, spin_speedup);
         report.add("sweep_speedup", speedup, "x", {{"threads", "8"}});
+        report.add("host_nproc", nproc, "threads", {});
+        report.add("spin_speedup", spin_speedup, "x", {{"threads", "8"}});
         report.set_sweep(pooled);
     }
 

@@ -120,18 +120,7 @@ QueueSnapshot PbsDetector::check() {
 QueueSnapshot PbsDetector::check_full_text() {
     std::string qstat = qstat_f_();
     if (text_fault_) qstat = text_fault_(std::move(qstat));
-    std::string nodes = pbsnodes_();
-    if (!has_parse_ || qstat != last_qstat_text_) {
-        last_parse_ = parse_qstat_f(qstat);
-        last_qstat_text_ = std::move(qstat);
-        has_parse_ = true;
-    }
-    if (!has_idle_ || nodes != last_pbsnodes_text_) {
-        last_idle_nodes_ = count_idle_nodes(nodes);
-        last_pbsnodes_text_ = std::move(nodes);
-        has_idle_ = true;
-    }
-    return snapshot_from_parse(last_parse_, last_idle_nodes_);
+    return snapshot_from_parse(parse_qstat_f(qstat), count_idle_nodes(pbsnodes_()));
 }
 
 PbsDetector::JobStanza PbsDetector::parse_job_stanza(const std::string& text) {

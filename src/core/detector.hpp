@@ -41,7 +41,9 @@ public:
     PbsDetector(TextProvider qstat_f, TextProvider pbsnodes,
                 std::function<std::int64_t()> unix_clock);
 
-    /// Convenience wiring to a live server — still via its text layer only.
+    /// Whole-string wiring to a live server, via its text layer only: every
+    /// poll scrapes and parses the full `qstat -f` and `pbsnodes` output.
+    /// The oracle the streaming path is checked against.
     explicit PbsDetector(const pbs::PbsServer& server);
 
     /// Streaming wiring to a live server: consume the server's chunked text
@@ -123,20 +125,9 @@ private:
     std::vector<std::uint64_t> changed_buf_;
     PollStats poll_stats_;
 
-    // Parse cache keyed on string equality: the server memoizes its renders,
-    // so steady-state polls see byte-identical text and re-parsing it would
-    // dominate the poll cost. Comparing the text (never peeking at server
-    // internals) keeps the detector an honest scraper.
-    std::string last_qstat_text_;
-    util::Result<QstatParse> last_parse_{QstatParse{}};
-    bool has_parse_ = false;
-    std::string last_pbsnodes_text_;
-    int last_idle_nodes_ = 0;
-    bool has_idle_ = false;
-
 public:
     /// World-snapshot hook: the streaming cursor (doc versions + per-stanza
-    /// aggregates) and the parse caches. Restoring alongside the server's
+    /// aggregates) and the poll counters. Restoring alongside the server's
     /// own restore keeps the incremental path's "parse only what changed"
     /// guarantee intact across a fork.
     struct SavedState {
@@ -149,18 +140,11 @@ public:
         std::map<std::uint64_t, bool> node_idle;
         int idle_count = 0;
         PollStats poll_stats;
-        std::string last_qstat_text;
-        util::Result<QstatParse> last_parse{QstatParse{}};
-        bool has_parse = false;
-        std::string last_pbsnodes_text;
-        int last_idle_nodes = 0;
-        bool has_idle = false;
     };
     [[nodiscard]] SavedState save_state() const {
-        return {doc_synced_,      qstat_doc_version_, nodes_doc_version_, job_stanzas_,
-                queued_keys_,     running_keys_,      node_idle_,         idle_count_,
-                poll_stats_,      last_qstat_text_,   last_parse_,        has_parse_,
-                last_pbsnodes_text_, last_idle_nodes_, has_idle_};
+        return {doc_synced_,  qstat_doc_version_, nodes_doc_version_, job_stanzas_,
+                queued_keys_, running_keys_,      node_idle_,         idle_count_,
+                poll_stats_};
     }
     void restore_state(const SavedState& s) {
         doc_synced_ = s.doc_synced;
@@ -172,12 +156,6 @@ public:
         node_idle_ = s.node_idle;
         idle_count_ = s.idle_count;
         poll_stats_ = s.poll_stats;
-        last_qstat_text_ = s.last_qstat_text;
-        last_parse_ = s.last_parse;
-        has_parse_ = s.has_parse;
-        last_pbsnodes_text_ = s.last_pbsnodes_text;
-        last_idle_nodes_ = s.last_idle_nodes;
-        has_idle_ = s.has_idle;
     }
 };
 

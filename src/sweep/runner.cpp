@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -12,20 +11,7 @@
 
 namespace hc::sweep {
 
-namespace {
-
 using Clock = std::chrono::steady_clock;
-
-/// One worker's share of the slot space. A worker pops its own deque from
-/// the front; thieves take from the back. The deque is tiny (indices only)
-/// and replicas are milliseconds-heavy, so a plain mutex per deque is
-/// cheaper than a lock-free Chase-Lev structure and trivially TSan-clean.
-struct WorkerDeque {
-    std::mutex m;
-    std::deque<std::size_t> slots;
-};
-
-}  // namespace
 
 int resolve_threads(int requested) {
     if (requested > 0) return requested < 256 ? requested : 256;
@@ -33,136 +19,13 @@ int resolve_threads(int requested) {
     return hw == 0 ? 1 : static_cast<int>(hw < 256 ? hw : 256);
 }
 
-namespace detail {
-
-SweepStats run_pool(std::size_t count, int threads, const ReplicaFn& fn,
-                    const PoolHooks& hooks) {
-    util::require(static_cast<bool>(fn), "sweep::run_pool: null replica function");
-    SweepStats stats;
-    stats.replicas = count;
-    int n = resolve_threads(threads);
-    if (static_cast<std::size_t>(n) > count) n = count == 0 ? 1 : static_cast<int>(count);
-    stats.threads = n;
-    const auto t0 = Clock::now();
-
-    if (n <= 1) {
-        // Serial mode: no pool, no locks — the --threads 1 baseline really
-        // is the pre-sweep serial loop (plus the arena).
-        util::Arena arena;
-        WorkerContext ctx{0, &arena};
-        bool opened = false;
-        try {
-            for (std::size_t slot = 0; slot < count; ++slot) {
-                if (!opened && hooks.open) {
-                    hooks.open(ctx);
-                    opened = true;
-                }
-                fn(slot, ctx);
-                if (hooks.reset_arena_between) arena.reset();
-            }
-        } catch (...) {
-            if (opened && hooks.close) hooks.close(ctx);
-            throw;
-        }
-        if ((opened || !hooks.open) && hooks.close) hooks.close(ctx);
-    } else {
-        std::vector<WorkerDeque> deques(static_cast<std::size_t>(n));
-        // Deal contiguous runs: worker w starts on the slots nearest its
-        // rank, so with balanced replicas nobody steals at all.
-        for (int w = 0; w < n; ++w) {
-            const std::size_t lo = count * static_cast<std::size_t>(w) / static_cast<std::size_t>(n);
-            const std::size_t hi =
-                count * (static_cast<std::size_t>(w) + 1) / static_cast<std::size_t>(n);
-            for (std::size_t slot = lo; slot < hi; ++slot)
-                deques[static_cast<std::size_t>(w)].slots.push_back(slot);
-        }
-        std::atomic<std::uint64_t> steals{0};
-        std::atomic<bool> failed{false};
-        std::mutex error_mutex;
-        std::exception_ptr first_error;
-
-        auto worker = [&](int me) {
-            util::Arena arena;
-            WorkerContext ctx{me, &arena};
-            bool opened = false;
-            for (;;) {
-                if (failed.load(std::memory_order_relaxed)) break;
-                std::size_t slot = 0;
-                bool found = false;
-                bool stolen = false;
-                {
-                    WorkerDeque& mine = deques[static_cast<std::size_t>(me)];
-                    std::lock_guard<std::mutex> lock(mine.m);
-                    if (!mine.slots.empty()) {
-                        slot = mine.slots.front();
-                        mine.slots.pop_front();
-                        found = true;
-                    }
-                }
-                for (int step = 1; !found && step < n; ++step) {
-                    WorkerDeque& victim =
-                        deques[static_cast<std::size_t>((me + step) % n)];
-                    std::lock_guard<std::mutex> lock(victim.m);
-                    if (!victim.slots.empty()) {
-                        slot = victim.slots.back();
-                        victim.slots.pop_back();
-                        found = true;
-                        stolen = true;
-                    }
-                }
-                if (!found) break;
-                if (stolen) steals.fetch_add(1, std::memory_order_relaxed);
-                try {
-                    // Lazy open: a worker whose whole deque was stolen never
-                    // pays for a prefix it will not use.
-                    if (!opened && hooks.open) {
-                        hooks.open(ctx);
-                        opened = true;
-                    }
-                    fn(slot, ctx);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (first_error == nullptr) first_error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-                if (hooks.reset_arena_between) arena.reset();
-            }
-            if ((opened || !hooks.open) && hooks.close) {
-                try {
-                    hooks.close(ctx);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (first_error == nullptr) first_error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(n) - 1);
-        for (int w = 1; w < n; ++w) pool.emplace_back(worker, w);
-        worker(0);  // the caller's thread is worker 0
-        for (std::thread& t : pool) t.join();
-        stats.steals = steals.load(std::memory_order_relaxed);
-        if (first_error != nullptr) std::rethrow_exception(first_error);
-    }
-
-    const double wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    stats.wall_ms = wall_s * 1e3;
-    stats.replicas_per_sec =
-        wall_s > 0 ? static_cast<double>(count) / wall_s : 0.0;
-    return stats;
-}
-
-}  // namespace detail
-
 struct TaskPool::Shared {
     std::mutex m;
     std::condition_variable start;
     std::condition_variable done;
     std::uint64_t round = 0;           ///< bumped per parallel_for; workers wake on change
     std::size_t count = 0;             ///< indices in the current round
-    const std::function<void(std::size_t)>* fn = nullptr;
+    const IndexFn* fn = nullptr;
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> failed{false};
     int active = 0;                    ///< helper workers still inside the round
@@ -174,7 +37,7 @@ TaskPool::TaskPool(int threads) : threads_(resolve_threads(threads)) {
     if (threads_ <= 1) return;
     shared_ = std::make_unique<Shared>();
     workers_.reserve(static_cast<std::size_t>(threads_) - 1);
-    for (int w = 1; w < threads_; ++w) workers_.emplace_back([this] { worker_loop(); });
+    for (int w = 1; w < threads_; ++w) workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 TaskPool::~TaskPool() {
@@ -191,13 +54,13 @@ TaskPool::~TaskPool() {
 /// Claim-and-run loop shared by the caller and the parked workers: indices
 /// come off one atomic cursor; a thrown exception flips `failed`, which
 /// abandons everything still unclaimed.
-void TaskPool::drain_round(Shared& s) {
+void TaskPool::drain_round(Shared& s, int worker) {
     for (;;) {
         if (s.failed.load(std::memory_order_relaxed)) return;
         const std::size_t index = s.cursor.fetch_add(1, std::memory_order_relaxed);
         if (index >= s.count) return;
         try {
-            (*s.fn)(index);
+            (*s.fn)(index, worker);
         } catch (...) {
             std::lock_guard<std::mutex> lock(s.m);
             if (s.first_error == nullptr) s.first_error = std::current_exception();
@@ -206,7 +69,7 @@ void TaskPool::drain_round(Shared& s) {
     }
 }
 
-void TaskPool::worker_loop() {
+void TaskPool::worker_loop(int worker) {
     Shared& s = *shared_;
     std::uint64_t seen = 0;
     for (;;) {
@@ -216,7 +79,7 @@ void TaskPool::worker_loop() {
             if (s.stop) return;
             seen = s.round;
         }
-        drain_round(s);
+        drain_round(s, worker);
         {
             std::lock_guard<std::mutex> lock(s.m);
             if (--s.active == 0) s.done.notify_all();
@@ -224,12 +87,12 @@ void TaskPool::worker_loop() {
     }
 }
 
-void TaskPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
+void TaskPool::parallel_for(std::size_t count, const IndexFn& fn) {
     util::require(static_cast<bool>(fn), "TaskPool::parallel_for: null function");
     ++rounds_;
     if (shared_ == nullptr) {
         // Serial pool: plain inline loop, no synchronisation at all.
-        for (std::size_t i = 0; i < count; ++i) fn(i);
+        for (std::size_t i = 0; i < count; ++i) fn(i, 0);
         return;
     }
     Shared& s = *shared_;
@@ -244,7 +107,7 @@ void TaskPool::parallel_for(std::size_t count, const std::function<void(std::siz
         ++s.round;
     }
     s.start.notify_all();
-    drain_round(s);  // the caller's thread participates
+    drain_round(s, 0);  // the caller's thread is worker 0
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(s.m);
@@ -256,8 +119,39 @@ void TaskPool::parallel_for(std::size_t count, const std::function<void(std::siz
     if (error != nullptr) std::rethrow_exception(error);
 }
 
+namespace detail {
+
+int sweep_threads(int requested, std::size_t count) {
+    const int n = resolve_threads(requested);
+    if (static_cast<std::size_t>(n) <= count) return n;
+    return count == 0 ? 1 : static_cast<int>(count);
+}
+
+SweepStats run_slots(std::size_t count, int threads, const TaskPool::IndexFn& fn) {
+    SweepStats stats;
+    stats.replicas = count;
+    stats.threads = threads;
+    const auto t0 = Clock::now();
+    TaskPool pool(threads);
+    pool.parallel_for(count, fn);
+    const double wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    stats.wall_ms = wall_s * 1e3;
+    stats.replicas_per_sec = wall_s > 0 ? static_cast<double>(count) / wall_s : 0.0;
+    return stats;
+}
+
+}  // namespace detail
+
 SweepStats run_indexed(std::size_t count, int threads, const ReplicaFn& fn) {
-    return detail::run_pool(count, threads, fn, detail::PoolHooks{});
+    util::require(static_cast<bool>(fn), "sweep::run_indexed: null replica function");
+    const int n = detail::sweep_threads(threads, count);
+    std::vector<util::Arena> arenas(static_cast<std::size_t>(n));
+    return detail::run_slots(count, n, [&](std::size_t slot, int worker) {
+        util::Arena& arena = arenas[static_cast<std::size_t>(worker)];
+        WorkerContext ctx{worker, &arena};
+        fn(slot, ctx);
+        arena.reset();
+    });
 }
 
 ScenarioReplica make_replica(core::ScenarioConfig config,

@@ -7,10 +7,11 @@
 // embarrassingly parallel, and a full E5 robustness campaign or a nightly
 // fuzz run is bounded by cores, not by serial wall-clock.
 //
-// Execution model: a work-stealing thread pool. Slots [0, N) are dealt to
-// workers in contiguous runs; a worker drains its own deque from the front
-// and, when empty, steals from the BACK of a victim's deque (stealing the
-// work farthest from what the victim touches next, classic Cilk-style).
+// Execution model: each sweep runs on a `TaskPool` (below), the one thread
+// pool in the simulator. Slots [0, N) are claimed from a single shared
+// atomic cursor, so a fast worker simply
+// claims more slots and no rebalancing is needed. The caller's thread is
+// worker 0; each parked helper has a fixed worker index in [1, threads).
 // Each worker owns a `util::Arena` that replica-scoped allocations (the
 // engine calendar, see sim/engine.hpp) ride on; the arena is reset between
 // replicas, so consecutive runs on a worker recycle the same warm pages and
@@ -55,7 +56,9 @@ struct WorkerContext {
 struct SweepStats {
     std::size_t replicas = 0;
     int threads = 1;
-    std::uint64_t steals = 0;  ///< replicas run off another worker's deque
+    /// Always 0: every worker claims from one shared cursor, so nothing is
+    /// stolen. Kept so existing readers of the field still build.
+    std::uint64_t steals = 0;
     double wall_ms = 0;
     double replicas_per_sec = 0;
 };
@@ -72,40 +75,21 @@ using ReplicaFn = std::function<void(std::size_t slot, WorkerContext&)>;
 /// a replica is rethrown here (remaining queued replicas are abandoned).
 SweepStats run_indexed(std::size_t count, int threads, const ReplicaFn& fn);
 
-namespace detail {
-
-/// Per-worker lifecycle hooks for run_pool. `open` runs lazily on a worker's
-/// thread just before its first replica (a worker that never claims a slot
-/// never pays it); `close` runs before the worker's arena is destroyed, on
-/// every exit path. With `reset_arena_between` false the worker's arena
-/// carries state across replicas (the forked path's snapshot image lives
-/// there) — open/fn/close must manage lifetimes themselves.
-struct PoolHooks {
-    std::function<void(WorkerContext&)> open;
-    std::function<void(WorkerContext&)> close;
-    bool reset_arena_between = true;
-};
-
-SweepStats run_pool(std::size_t count, int threads, const ReplicaFn& fn,
-                    const PoolHooks& hooks);
-
-}  // namespace detail
-
-/// A persistent barrier pool for repeated small fan-outs.
+/// A persistent barrier pool: the one thread pool of the simulator.
 ///
-/// run_pool spawns and joins its threads per call, which is the right shape
-/// for one sweep of milliseconds-heavy replicas but ruinous for a caller
+/// Workers stay parked on a condition variable between rounds, so a caller
 /// that fans out every simulated epoch (FederatedGrid runs thousands of
-/// epochs; thread creation would dwarf the shard work). TaskPool keeps its
-/// workers parked on a condition variable between rounds: parallel_for
-/// wakes them, indices are claimed from a shared atomic cursor, and the
-/// call returns once every index has run (a full barrier).
+/// epochs) pays no thread creation per round. parallel_for wakes them,
+/// indices are claimed from a shared atomic cursor, and the call returns
+/// once every index has run (a full barrier). run_indexed and run_forked
+/// build one pool per sweep on the same mechanism.
 ///
-/// Determinism contract: parallel_for guarantees nothing about WHICH thread
+/// Determinism contract: parallel_for guarantees nothing about WHICH worker
 /// runs an index or in what order — callers must make fn(i) depend only on
-/// i (the FederatedGrid shards share nothing), exactly like run_indexed.
-/// With threads <= 1 no threads are ever created and fn runs inline, so the
-/// --threads 1 baseline is the plain serial loop.
+/// i (the FederatedGrid shards share nothing), and use the worker index
+/// only to pick per-worker scratch state. With threads <= 1 no threads are
+/// ever created and fn runs inline, so the --threads 1 baseline is the
+/// plain serial loop.
 class TaskPool {
 public:
     explicit TaskPool(int threads);
@@ -118,16 +102,19 @@ public:
     /// Rounds executed so far (parallel_for calls).
     [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
 
-    /// Run fn(index) for every index in [0, count); blocks until all have
-    /// returned. The caller's thread participates. The first exception
-    /// thrown is rethrown here after the barrier (remaining unclaimed
-    /// indices are abandoned on failure).
-    void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+    /// Run fn(index, worker) for every index in [0, count); blocks until
+    /// all have returned. `worker` is in [0, threads()): the caller's thread
+    /// is worker 0 and each helper keeps its own index for the pool's life,
+    /// so no two concurrent calls share one. The first exception thrown is
+    /// rethrown here after the barrier (remaining unclaimed indices are
+    /// abandoned on failure); the pool stays usable for the next round.
+    using IndexFn = std::function<void(std::size_t index, int worker)>;
+    void parallel_for(std::size_t count, const IndexFn& fn);
 
 private:
     struct Shared;
-    static void drain_round(Shared& s);
-    void worker_loop();
+    static void drain_round(Shared& s, int worker);
+    void worker_loop(int worker);
 
     int threads_ = 1;
     std::uint64_t rounds_ = 0;
@@ -144,6 +131,18 @@ struct ForkStats {
     double suffix_sim_s = 0;        ///< sim-time re-run per suffix
 };
 
+namespace detail {
+
+/// Workers one sweep runs on: the resolved request, clamped to [1, count].
+[[nodiscard]] int sweep_threads(int requested, std::size_t count);
+
+/// Run fn(slot, worker) for every slot in [0, count) on a fresh TaskPool of
+/// `threads` workers and time it. The shared body of run_indexed and
+/// run_forked.
+SweepStats run_slots(std::size_t count, int threads, const TaskPool::IndexFn& fn);
+
+}  // namespace detail
+
 /// Copy-on-write fan-out: run a shared prefix ONCE per worker, then deal N
 /// divergent suffixes across the pool, each starting from a restored
 /// snapshot of the prefix instead of a cold replay.
@@ -155,11 +154,15 @@ struct ForkStats {
 /// end, and returns that slot's result. Determinism contract (pinned by the
 /// forked-vs-cold goldens): `prefix` must not depend on the worker id —
 /// every worker builds the same world — and `suffix` only on its slot, so
-/// results are byte-identical at any thread count, steals included.
+/// results are byte-identical at any thread count.
 ///
-/// Worker lifetime: the snapshot image and the world both ride the worker
-/// arena, which is NOT reset between suffixes (restore() rewinds to the
-/// snapshot watermark instead, reclaiming each suffix's garbage in O(1)).
+/// Worker lifetime: each worker has one Session. Its prefix is built on the
+/// worker's first claimed slot (a worker that claims none never pays for
+/// it). The snapshot image and the world both ride the session arena, which
+/// is NOT reset between suffixes (restore() rewinds to the snapshot
+/// watermark instead, reclaiming each suffix's garbage in O(1)). The arena
+/// is declared first, so the world and snapshot die before it on every
+/// exit path, a thrown suffix included.
 template <class PrefixFn, class SuffixFn>
 auto run_forked(std::size_t count, int threads, PrefixFn&& prefix, SuffixFn&& suffix,
                 ForkStats* fork_stats = nullptr, SweepStats* stats = nullptr) {
@@ -168,43 +171,31 @@ auto run_forked(std::size_t count, int threads, PrefixFn&& prefix, SuffixFn&& su
     using Snapshot = decltype(std::declval<World&>().snapshot());
     using Result = decltype(suffix(std::declval<World&>(), std::size_t{0}));
 
-    int n = resolve_threads(threads);
-    if (static_cast<std::size_t>(n) > count) n = count == 0 ? 1 : static_cast<int>(count);
-
     struct Session {
+        util::Arena arena;
         WorldPtr world{};
         std::unique_ptr<Snapshot> snap;
         std::uint64_t forks = 0;
         std::size_t snapshot_bytes = 0;
     };
+    const int n = detail::sweep_threads(threads, count);
     std::vector<Session> sessions(static_cast<std::size_t>(n));
     std::vector<Result> out(count);
 
-    detail::PoolHooks hooks;
-    hooks.reset_arena_between = false;
-    hooks.open = [&](WorkerContext& ctx) {
-        Session& s = sessions[static_cast<std::size_t>(ctx.worker)];
-        s.world = prefix(ctx);
-        // The image is allocated below the arena watermark recorded inside
-        // snapshot(), so every later restore() rewind preserves it.
-        s.snap = std::make_unique<Snapshot>(s.world->snapshot());
-        s.snapshot_bytes = s.snap->bytes();
-    };
-    hooks.close = [&](WorkerContext& ctx) {
-        // Destroy world + snapshot before the worker arena goes away.
-        Session& s = sessions[static_cast<std::size_t>(ctx.worker)];
-        s.snap.reset();
-        s.world = WorldPtr{};
-    };
-    const SweepStats sw = detail::run_pool(
-        count, n,
-        [&](std::size_t slot, WorkerContext& ctx) {
-            Session& s = sessions[static_cast<std::size_t>(ctx.worker)];
-            s.world->restore(*s.snap);
-            ++s.forks;
-            out[slot] = suffix(*s.world, slot);
-        },
-        hooks);
+    const SweepStats sw = detail::run_slots(count, n, [&](std::size_t slot, int worker) {
+        Session& s = sessions[static_cast<std::size_t>(worker)];
+        if (s.snap == nullptr) {
+            WorkerContext ctx{worker, &s.arena};
+            s.world = prefix(ctx);
+            // The image is allocated below the arena watermark recorded
+            // inside snapshot(), so every later restore() rewind preserves it.
+            s.snap = std::make_unique<Snapshot>(s.world->snapshot());
+            s.snapshot_bytes = s.snap->bytes();
+        }
+        s.world->restore(*s.snap);
+        ++s.forks;
+        out[slot] = suffix(*s.world, slot);
+    });
     if (stats != nullptr) *stats = sw;
     if (fork_stats != nullptr) {
         ForkStats fs;

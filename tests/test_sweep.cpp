@@ -6,13 +6,16 @@
 // count is a wall-clock knob, nothing else. The remaining tests pin the
 // pool mechanics the guarantee rests on: slot-indexed results, threads
 // clamped to replicas, arenas reset between replicas, first-exception
-// propagation.
+// propagation, exclusive per-worker indices and per-worker fork sessions.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,6 +82,149 @@ TEST(SweepRunner, FirstExceptionPropagatesToCaller) {
     // The pool is not poisoned: a subsequent sweep on fresh workers is fine.
     const SweepStats stats = run_indexed(8, 4, [](std::size_t, WorkerContext&) {});
     EXPECT_EQ(stats.replicas, 8u);
+}
+
+// ---- TaskPool ---------------------------------------------------------------
+
+// The worker index is what per-worker arenas and fork sessions are keyed by:
+// it must stay in range, and no two calls running at once may share one.
+TEST(SweepPool, WorkerIndicesAreInRangeAndExclusive) {
+    TaskPool pool(4);
+    ASSERT_EQ(pool.threads(), 4);
+    std::vector<std::atomic<bool>> in_use(4);
+    for (auto& flag : in_use) flag.store(false);
+    std::atomic<int> out_of_range{0};
+    std::atomic<int> shared{0};
+    std::atomic<int> ran{0};
+    pool.parallel_for(400, [&](std::size_t, int worker) {
+        if (worker < 0 || worker >= pool.threads()) {
+            out_of_range.fetch_add(1);
+            return;
+        }
+        if (in_use[static_cast<std::size_t>(worker)].exchange(true)) shared.fetch_add(1);
+        for (int i = 0; i < 200; ++i) std::this_thread::yield();
+        in_use[static_cast<std::size_t>(worker)].store(false);
+        ran.fetch_add(1);
+    });
+    EXPECT_EQ(out_of_range.load(), 0);
+    EXPECT_EQ(shared.load(), 0);
+    EXPECT_EQ(ran.load(), 400);
+}
+
+// One pool serves many rounds (FederatedGrid runs one per epoch). A round
+// that throws abandons its own unclaimed indices only; the next round runs
+// every index, and each worker index keeps its thread across rounds.
+TEST(SweepPool, RoundsSurviveAThrowingRound) {
+    TaskPool pool(3);
+    std::mutex m;
+    std::map<int, std::thread::id> thread_of{{0, std::this_thread::get_id()}};  // caller = 0
+    int moved = 0;
+    auto note = [&](int worker) {
+        std::lock_guard<std::mutex> lock(m);
+        const auto [it, fresh] = thread_of.try_emplace(worker, std::this_thread::get_id());
+        if (!fresh && it->second != std::this_thread::get_id()) ++moved;
+    };
+    auto full_round = [&] {
+        std::vector<std::atomic<int>> hits(64);
+        for (auto& h : hits) h.store(0);
+        pool.parallel_for(hits.size(), [&](std::size_t i, int worker) {
+            note(worker);
+            hits[i].fetch_add(1);
+        });
+        for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    };
+    full_round();
+    EXPECT_THROW(pool.parallel_for(64,
+                                   [&](std::size_t i, int worker) {
+                                       note(worker);
+                                       if (i == 5) throw std::runtime_error("index 5 boom");
+                                   }),
+                 std::runtime_error);
+    full_round();
+    full_round();
+    EXPECT_EQ(pool.rounds(), 4u);
+    EXPECT_EQ(moved, 0);
+}
+
+TEST(SweepPool, OneThreadRunsInlineOnTheCaller) {
+    TaskPool pool(1);
+    EXPECT_EQ(pool.threads(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool off_caller = false;
+    bool nonzero_worker = false;
+    pool.parallel_for(16, [&](std::size_t i, int worker) {
+        off_caller = off_caller || std::this_thread::get_id() != caller;
+        nonzero_worker = nonzero_worker || worker != 0;
+        order.push_back(i);
+    });
+    EXPECT_FALSE(off_caller);
+    EXPECT_FALSE(nonzero_worker);
+    ASSERT_EQ(order.size(), 16u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+// ---- forked sessions -------------------------------------------------------
+
+ForkCampaign small_fork_campaign(std::size_t variants) {
+    ForkCampaign campaign;
+    campaign.base.kind = core::ScenarioKind::kBiStableHybrid;
+    campaign.base.linux_nodes = 8;
+    campaign.base.horizon = sim::hours(3);
+    campaign.base.seed = 31;
+    campaign.trace = std::make_shared<const std::vector<workload::JobSpec>>(
+        bench::mixed_trace(0.25, /*seed=*/31, /*rate_per_hour=*/8.0, sim::hours(2)));
+    campaign.fork_at = sim::TimePoint{} + sim::hours(1);
+    for (std::size_t v = 0; v < variants; ++v) {
+        const auto policy = v % 2 == 0 ? core::PolicyKind::kFcfs : core::PolicyKind::kThreshold;
+        campaign.variants.push_back(
+            [policy](core::ScenarioWorld& w) { w.hybrid().set_policy(policy); });
+    }
+    return campaign;
+}
+
+// A throwing suffix unwinds every worker's session: the exception reaches
+// the caller, and each world (whose engine calendar lives on its session
+// arena) is destroyed before that arena, so ASan stays quiet.
+TEST(ForkedSessions, SuffixExceptionReachesCallerAndWorldsDieFirst) {
+    const ForkCampaign campaign = small_fork_campaign(1);
+    std::atomic<int> prefixes{0};
+    std::atomic<int> suffixes{0};
+    EXPECT_THROW(
+        (void)run_forked(
+            16, 4,
+            [&](WorkerContext& ctx) {
+                prefixes.fetch_add(1);
+                core::ScenarioConfig config = campaign.base;
+                config.arena = ctx.arena;
+                auto world = std::make_unique<core::ScenarioWorld>(config, *campaign.trace);
+                world->run_until(campaign.fork_at);
+                return world;
+            },
+            [&](core::ScenarioWorld& world, std::size_t slot) {
+                suffixes.fetch_add(1);
+                if (slot == 3) throw std::runtime_error("suffix 3 boom");
+                world.run_until(world.horizon_end());
+                return world.finish();
+            }),
+        std::runtime_error);
+    EXPECT_GE(prefixes.load(), 1);
+    EXPECT_LE(prefixes.load(), 4);
+    EXPECT_GE(suffixes.load(), 4);  // slots 0..3 were claimed before the throw
+}
+
+// Workers are clamped to the variant count, and a worker builds a prefix
+// only when it claims a slot.
+TEST(ForkedSessions, TwoVariantsAtEightThreadsUseAtMostTwoPrefixes) {
+    ForkStats fs;
+    const auto out = run_forked_scenarios(small_fork_campaign(2), 8, &fs);
+    EXPECT_EQ(out.stats.threads, 2);
+    EXPECT_EQ(out.stats.replicas, 2u);
+    EXPECT_EQ(out.stats.steals, 0u);
+    EXPECT_GE(fs.prefixes, 1);
+    EXPECT_LE(fs.prefixes, 2);
+    EXPECT_EQ(fs.forks, 2u);
+    EXPECT_EQ(out.results.size(), 2u);
 }
 
 // ---- determinism golden tests ----------------------------------------------
@@ -176,8 +322,7 @@ TEST(SweepDeterminism, RunScenariosResultsMatchAcrossThreads) {
 
 // The warm-start guarantee: a campaign run through run_forked_scenarios()
 // (shared prefix, snapshot, fan-out) renders byte-identically to cold runs
-// that apply the same divergence at the same sim time — at any thread count,
-// steals included.
+// that apply the same divergence at the same sim time — at any thread count.
 
 std::string campaign_record_bytes(const std::vector<core::ScenarioResult>& results) {
     bench::JsonReport report("fork-golden");
